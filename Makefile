@@ -8,7 +8,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 90.0
 COVER_PKGS = ./internal/dist ./internal/solver
-BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat
+BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/rng
 BENCH_THRESHOLD ?= 15
 BENCH_COUNT ?= 3
 
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzReadLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzLIBSVMIndices$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzParseGroups$$' -fuzztime $(FUZZTIME) ./internal/prox
+	$(GO) test -run NONE -fuzz '^FuzzSampleWithoutReplacement$$' -fuzztime $(FUZZTIME) ./internal/rng
 
 # serving-smoke is the service-level acceptance gate: loadgen drives an
 # in-process server through the canonical 64-request lambda-path sweep

@@ -177,7 +177,7 @@ func (e *engine) Fill(payload []float64) perf.Cost {
 	cost := e.rec.Cost
 	round := e.rec.Rounds + 1
 	sb, m := e.sb, e.m
-	copy(e.blocks, e.sampler.Sample(round))
+	e.blocks = e.sampler.SampleRange(round, 0, e.d, e.blocks)
 
 	mat.Zero(payload)
 	gram := payload[:sb*sb]

@@ -169,6 +169,25 @@ func TestGeneratePanicsOnBadSpec(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsTrueNnzAboveD: planting more coefficients than
+// there are features is a spec error, reported at the data boundary
+// rather than deep inside the sampler; TrueNnz = D is still valid.
+func TestGenerateRejectsTrueNnzAboveD(t *testing.T) {
+	p := Generate(GenSpec{D: 6, M: 20, Density: 0.5, TrueNnz: 6, Seed: 1})
+	for i, v := range p.WTrue {
+		if v == 0 {
+			t.Fatalf("TrueNnz = D left coefficient %d unplanted", i)
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "data: Generate TrueNnz") {
+			t.Fatalf("panic = %q, want a data-level TrueNnz message", msg)
+		}
+	}()
+	Generate(GenSpec{D: 6, M: 20, Density: 0.5, TrueNnz: 7, Seed: 1})
+}
+
 func TestRegistryComplete(t *testing.T) {
 	ds := Datasets()
 	if len(ds) != 5 {

@@ -110,6 +110,9 @@ func Generate(spec GenSpec) *Problem {
 			spec.TrueNnz = 1
 		}
 	}
+	if spec.TrueNnz > spec.D {
+		panic(fmt.Sprintf("data: Generate TrueNnz = %d exceeds the %d features", spec.TrueNnz, spec.D))
+	}
 	if spec.NoiseStd < 0 {
 		spec.NoiseStd = 0.01
 	}

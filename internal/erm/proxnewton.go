@@ -149,6 +149,10 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 	sampler := solvercore.StreamSampler{
 		Src: rng.NewSource(opts.Seed), Epoch: 4, N: m, Draw: mbar,
 	}
+	// This rank's columns of each outer iteration's shared sample set,
+	// drawn into one reused buffer.
+	lo, hi := local.ColRange()
+	var localCols []int
 	rec := solvercore.NewRecorder(opts.TraceName, c.Rank(), cost, c.Machine())
 	rec.Tol, rec.FStar = opts.Tol, opts.FStar
 
@@ -178,7 +182,7 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 		// 1/len(cols); rescale so the global sum is (1/mbar) * sum over
 		// the whole sample set.
 		FillHessian: func(h *mat.SymPacked, w []float64, outer int, c *perf.Cost) {
-			localCols := local.LocalCols(sampler.Sample(outer))
+			localCols = sampler.SampleRange(outer, lo, hi, localCols)
 			if len(localCols) > 0 {
 				localObj.SampledHessianPacked(h, w, localCols, c)
 				mat.Scal(float64(len(localCols))/float64(mbar), h.Data, c)

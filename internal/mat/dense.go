@@ -25,9 +25,17 @@ func NewDense(r, c int) *Dense {
 // DenseOf wraps data (not copied) as an r x c matrix.
 func DenseOf(r, c int, data []float64) *Dense {
 	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: DenseOf got %d values for %dx%d", len(data), r, c))
+		denseOfMismatch(r, c, len(data))
 	}
 	return &Dense{Rows: r, Cols: c, Data: data}
+}
+
+// denseOfMismatch is DenseOf's panic, kept out of line so the
+// constructor inlines (see symPackedOfMismatch).
+//
+//go:noinline
+func denseOfMismatch(r, c, got int) {
+	panic(fmt.Sprintf("mat: DenseOf got %d values for %dx%d", got, r, c))
 }
 
 // Dim returns the row dimension, the operator size when a is square.

@@ -40,10 +40,19 @@ func NewSymPacked(n int) *SymPacked {
 // SymPackedOf wraps data (not copied) as an n x n packed symmetric
 // matrix.
 func SymPackedOf(n int, data []float64) *SymPacked {
-	if len(data) != PackedLen(n) {
-		panic(fmt.Sprintf("mat: SymPackedOf got %d values for n=%d (want %d)", len(data), n, PackedLen(n)))
+	if len(data) != n*(n+1)/2 {
+		symPackedOfMismatch(n, len(data))
 	}
 	return &SymPacked{N: n, Data: data}
+}
+
+// symPackedOfMismatch is SymPackedOf's panic, kept out of line so the
+// constructor inlines and a view that does not escape is not heap
+// allocated.
+//
+//go:noinline
+func symPackedOfMismatch(n, got int) {
+	panic(fmt.Sprintf("mat: SymPackedOf got %d values for n=%d (want %d)", got, n, PackedLen(n)))
 }
 
 // rowStart returns the index of the diagonal element (i, i).

@@ -9,7 +9,10 @@
 // the initialization recommended by the xoshiro authors.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 func splitMix64(state *uint64) uint64 {
@@ -28,7 +31,14 @@ type Rng struct {
 
 // New returns a generator seeded from a single 64-bit seed.
 func New(seed uint64) *Rng {
-	r := &Rng{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value. New and Stream stay small enough to inline,
+// so a generator that does not outlive its caller lives on the stack.
+func seeded(seed uint64) Rng {
+	var r Rng
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitMix64(&st)
@@ -70,25 +80,11 @@ func (r *Rng) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia
@@ -138,12 +134,18 @@ func NewSource(seed uint64) Source { return Source{seed: seed} }
 
 // Stream returns the generator for iteration iter of epoch.
 func (s Source) Stream(epoch, iter int) *Rng {
+	r := s.stream(epoch, iter)
+	return &r
+}
+
+// stream is Stream by value.
+func (s Source) stream(epoch, iter int) Rng {
 	st := s.seed
 	mixed := splitMix64(&st)
 	st = mixed ^ (uint64(epoch)+0x632be59bd9b4e019)*0xff51afd7ed558ccd
 	mixed = splitMix64(&st)
 	st = mixed ^ (uint64(iter)+0x9e3779b97f4a7c15)*0xc4ceb9fe1a85ec53
-	return New(splitMix64(&st))
+	return seeded(splitMix64(&st))
 }
 
 // Seed returns the base seed of the source.

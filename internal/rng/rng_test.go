@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -200,12 +203,18 @@ func TestSampleWithoutReplacementUniform(t *testing.T) {
 }
 
 func TestSampleWithoutReplacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).SampleWithoutReplacement(3, 4)
+	// k > n, negative arguments, and an n the int32 scratch cannot
+	// index (rejected before any scratch is built).
+	for _, c := range []struct{ n, k int }{{3, 4}, {-1, 0}, {5, -1}, {math.MaxInt32 + 1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d k=%d: expected panic", c.n, c.k)
+				}
+			}()
+			New(1).SampleWithoutReplacement(c.n, c.k)
+		}()
+	}
 }
 
 func TestSampleWithReplacement(t *testing.T) {
@@ -279,5 +288,208 @@ func TestSampleSetIsPureFunctionOfStream(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("sample sets differ across processes")
 		}
+	}
+}
+
+// refSample is an independent implementation of the same draw: a
+// partial Fisher-Yates over a map that holds only the displaced
+// entries of the identity. It is the oracle every index drawn by
+// SampleWithoutReplacement and SampleRange must match.
+func refSample(r *Rng, n, k int) []int {
+	out := make([]int, k)
+	swapped := make(map[int]int, k)
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		vi, ok := swapped[i]
+		if !ok {
+			vi = i
+		}
+		vj, ok := swapped[j]
+		if !ok {
+			vj = j
+		}
+		out[i] = vj
+		swapped[j] = vi
+		swapped[i] = vj
+	}
+	return out
+}
+
+// refRange is refSample filtered to [lo, hi) and shifted by -lo.
+func refRange(r *Rng, n, k, lo, hi int) []int {
+	out := []int{}
+	for _, v := range refSample(r, n, k) {
+		if v >= lo && v < hi {
+			out = append(out, v-lo)
+		}
+	}
+	return out
+}
+
+// checkAgainstOracle draws (n, k) and the [lo, hi) variant from stream
+// seed and compares both, and the stream position after the draw,
+// with the reference sampler.
+func checkAgainstOracle(t testing.TB, seed uint64, n, k, lo, hi int, dst []int) []int {
+	t.Helper()
+	got, ref := New(seed), New(seed)
+	if s, want := got.SampleWithoutReplacement(n, k), refSample(ref, n, k); !slices.Equal(s, want) {
+		t.Fatalf("seed %d n=%d k=%d: got %v, want %v", seed, n, k, s, want)
+	}
+	if got.Uint64() != ref.Uint64() {
+		t.Fatalf("seed %d n=%d k=%d: stream position differs after the draw", seed, n, k)
+	}
+	got, ref = New(seed), New(seed)
+	dst = got.SampleRange(n, k, lo, hi, dst)
+	if want := refRange(ref, n, k, lo, hi); !slices.Equal(dst, want) {
+		t.Fatalf("seed %d n=%d k=%d [%d,%d): got %v, want %v", seed, n, k, lo, hi, dst, want)
+	}
+	if got.Uint64() != ref.Uint64() {
+		t.Fatalf("seed %d n=%d k=%d [%d,%d): stream position differs", seed, n, k, lo, hi)
+	}
+	return dst
+}
+
+func TestSampleMatchesMapOracle(t *testing.T) {
+	cases := []struct{ n, k, lo, hi int }{
+		{0, 0, 0, 0},
+		{1, 0, 0, 1},
+		{1, 1, 0, 1},
+		{1, 1, 1, 5},    // out of range above
+		{10, 0, 0, 10},  // k=0
+		{10, 10, 0, 10}, // k=n
+		{10, 10, 3, 7},
+		{10, 4, 5, 5},   // empty range
+		{10, 4, 7, 3},   // inverted range
+		{10, 4, -5, 0},  // out of range below
+		{10, 4, -5, 4},  // straddles 0
+		{10, 4, 8, 100}, // straddles n
+		{24000, 2400, 0, 12000},
+		{24000, 2400, 12000, 24000},
+		{8000, 800, 0, 8000},
+		{7, 3, 0, 7},
+	}
+	var dst []int
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, c := range cases {
+			dst = checkAgainstOracle(t, seed, c.n, c.k, c.lo, c.hi, dst)
+		}
+	}
+}
+
+// TestSampleScratchReuseAcrossSizes alternates a large n with a small
+// one, so a pooled scratch left by one draw serves the next: a scratch
+// not fully restored to the identity would corrupt the later draws.
+func TestSampleScratchReuseAcrossSizes(t *testing.T) {
+	var dst []int
+	for i := uint64(0); i < 40; i++ {
+		n, k := 5000, 4999
+		if i%2 == 1 {
+			n, k = 3+int(i%5), 2
+		}
+		dst = checkAgainstOracle(t, 100+i, n, k, n/3, n, dst)
+	}
+}
+
+// TestSampleConcurrent runs eight goroutines drawing at once; under
+// the race detector it also checks the pooled scratch is never shared.
+func TestSampleConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var dst []int
+			for it := 0; it < 30; it++ {
+				seed := uint64(g*1000 + it)
+				n := 200 + 300*(g%3)
+				k := n / (2 + it%3)
+				lo, hi := n/4, n/2
+				if s := New(seed).SampleWithoutReplacement(n, k); !slices.Equal(s, refSample(New(seed), n, k)) {
+					errs <- fmt.Sprintf("goroutine %d seed %d: full draw differs", g, seed)
+					return
+				}
+				dst = New(seed).SampleRange(n, k, lo, hi, dst)
+				if !slices.Equal(dst, refRange(New(seed), n, k, lo, hi)) {
+					errs <- fmt.Sprintf("goroutine %d seed %d: range draw differs", g, seed)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+func TestSampleRangeReusesDst(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race, so the scratch can be rebuilt")
+	}
+	r := New(3)
+	dst := make([]int, 0, 100)
+	if n := testing.AllocsPerRun(50, func() { dst = r.SampleRange(1000, 100, 0, 1000, dst) }); n != 0 {
+		t.Fatalf("warm SampleRange allocated %g times per call", n)
+	}
+}
+
+// FuzzSampleWithoutReplacement checks both samplers against the map
+// oracle at fuzzed (seed, n, k, lo, hi); n is folded into [0, 4096] to
+// keep the scratch small, k into [0, n], the range left free.
+func FuzzSampleWithoutReplacement(f *testing.F) {
+	f.Add(uint64(1), 10, 3, 0, 10)
+	f.Add(uint64(2), 24000, 2400, 12000, 24000)
+	f.Add(uint64(3), 0, 0, -1, 1)
+	f.Add(uint64(4), 1, 1, 1, 0)
+	f.Fuzz(func(t *testing.T, seed uint64, n, k, lo, hi int) {
+		n = int(uint(n) % 4097)
+		k = int(uint(k) % uint(n+1))
+		checkAgainstOracle(t, seed, n, k, lo, hi, nil)
+	})
+}
+
+// sampleSink keeps the benchmarked draws live.
+var sampleSink []int
+
+// BenchmarkSampleWithoutReplacement times stage A of one round at the
+// benchmark shapes: the k slot draws of the tall (covtype-shaped,
+// n=24000, k=8 slots of 2400) and wide-lean (mnist-shaped, n=8000, k=4
+// slots of 800) solves, full and as one rank's half of a P=2
+// partition. One op is a round, so a single iteration is long enough
+// to time; us/draw is the per-slot figure.
+func BenchmarkSampleWithoutReplacement(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		n, draw, slot int
+	}{{"tall_n24000_k2400", 24000, 2400, 8}, {"wide_n8000_k800", 8000, 800, 4}} {
+		src := NewSource(1)
+		b.Run(c.name+"/full", func(b *testing.B) {
+			src.Stream(1, 0).SampleWithoutReplacement(c.n, c.draw) // warm the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < c.slot; j++ {
+					sampleSink = src.Stream(1, i*c.slot+j).SampleWithoutReplacement(c.n, c.draw)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*c.slot), "us/draw")
+		})
+		b.Run(c.name+"/range", func(b *testing.B) {
+			dst := make([][]int, c.slot)
+			for j := range dst {
+				dst[j] = src.Stream(1, j).SampleRange(c.n, c.draw, 0, c.n/2, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range dst {
+					dst[j] = src.Stream(1, i*c.slot+j).SampleRange(c.n, c.draw, 0, c.n/2, dst[j])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*c.slot), "us/draw")
+			sampleSink = dst[0]
+		})
 	}
 }

@@ -241,3 +241,51 @@ func benchActive(b *testing.B, active bool) {
 	// win on modeled time too, not just on this host's clock.
 	b.ReportMetric(modelSec*1e3, "modelms/solve")
 }
+
+// TestSlotFillAllocationFreeWhenWarm pins stage A's allocation-free
+// sampling: once each slot's column buffer is warm, filling a slot
+// (this rank's draw of the slot's shared sample set, then its Gram)
+// allocates nothing, on the sampled dense path, the active-set path
+// and the B=1 path that short-circuits to the identity sample set.
+func TestSlotFillAllocationFreeWhenWarm(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 12, M: 600, Density: 0.3, Seed: 31})
+	local := Partition(p.X, p.Y, 2, 1)
+	for _, c := range []struct {
+		name   string
+		b      float64
+		active bool
+	}{{"dense", 0.1, false}, {"active", 0.1, true}, {"saturated", 1, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			if raceEnabled && c.b < 1 {
+				t.Skip("sync.Pool drops items under -race, so the sampler's scratch can be rebuilt")
+			}
+			opts := Defaults()
+			opts.B, opts.K, opts.ActiveSet, opts.Lambda, opts.Gamma = c.b, 4, c.active, 0.05, 0.1
+			opts = opts.withDefaults()
+			if err := opts.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			e := newEngine(dist.NewSelfComm(perf.Comet()), local, opts)
+			if c.active {
+				e.initActiveSet()
+				e.activeView() // Fill builds the view before its slots
+			}
+			buf := make([]float64, e.BatchLen())
+			var cost perf.Cost
+			base := 0
+			fill := func() {
+				for j := 0; j < opts.K; j++ {
+					e.fillSlotAt(j, base, buf, &cost)
+				}
+				base += opts.K
+			}
+			fill() // warm the slot buffers
+			if n := testing.AllocsPerRun(20, fill); n != 0 {
+				t.Fatalf("warm slot fill allocated %g times per batch", n)
+			}
+			if c.b == 1 && len(e.slotCols[0]) != local.X.Cols {
+				t.Fatalf("B=1 slot holds %d columns, want all %d", len(e.slotCols[0]), local.X.Cols)
+			}
+		})
+	}
+}

@@ -36,8 +36,9 @@ func SampledLipschitz(x *sparse.CSC, y []float64, b float64, trials int, seed ui
 	h := mat.NewSymPacked(d)
 	r := make([]float64, d)
 	var lmax float64
+	var cols []int
 	for trial := 0; trial < trials; trial++ {
-		cols := src.Stream(3, trial).SampleWithoutReplacement(m, mbar)
+		cols = src.Stream(3, trial).SampleRange(m, mbar, 0, m, cols)
 		h.Zero()
 		mat.Zero(r)
 		sparse.SampledGramPacked(x, h, r, y, cols, 1/float64(mbar), nil)

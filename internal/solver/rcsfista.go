@@ -168,6 +168,10 @@ type engine struct {
 	// prox.Screener (Validate guarantees it under ActiveSet).
 	scr prox.Screener
 	src rng.Source
+	// slotCols[j] holds this rank's stage-A columns of batch slot j,
+	// reused across rounds; the k slots fill concurrently, each into
+	// its own buffer.
+	slotCols [][]int
 
 	// Batched Gram wire format: k slots of (hLen Hessian + d R). hLen
 	// is d(d+1)/2 in the default packed symmetric format, d^2 dense.
@@ -248,6 +252,8 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 		tmp:     make([]float64, d),
 		scratch: make([]float64, local.X.Cols),
 		t:       1,
+
+		slotCols: make([][]int, opts.K),
 	}
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s

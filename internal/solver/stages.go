@@ -41,12 +41,16 @@ func (e *engine) exchanger() solvercore.Exchanger {
 	return e.exch
 }
 
-// sampleSlot returns the global sample index set of Hessian slot h.
-// Identical on every rank: a pure function of (seed, h).
-func (e *engine) sampleSlot(h int) []int {
-	return solvercore.StreamSampler{
+// slotSample is stage A for batch slot j (global Hessian index h):
+// this rank's local columns of the slot's shared sample set, drawn
+// into the slot's own buffer. The set is a pure function of (seed, h),
+// so every rank agrees on it without communication.
+func (e *engine) slotSample(j, h int) []int {
+	lo, hi := e.local.ColRange()
+	e.slotCols[j] = solvercore.StreamSampler{
 		Src: e.src, Epoch: 1, N: e.m, Draw: e.mbar, FullWhenSaturated: true,
-	}.Sample(h)
+	}.SampleRange(h, lo, hi, e.slotCols[j])
+	return e.slotCols[j]
 }
 
 // fillSlotAt computes the local partial (H, R) Gram instance of batch
@@ -60,8 +64,7 @@ func (e *engine) fillSlotAt(j, base int, buf []float64, cost *perf.Cost) {
 		e.fillSlotActive(j, base, buf, e.as.act, e.as.pos, &e.as.view, cost)
 		return
 	}
-	global := e.sampleSlot(base + j)
-	cols := e.local.LocalCols(global)
+	cols := e.slotSample(j, base+j)
 	slot := buf[j*e.slotLen : (j+1)*e.slotLen]
 	scale := 1 / float64(e.mbar)
 	if e.packed {

@@ -34,10 +34,14 @@ func Partition(x *sparse.CSC, y []float64, size, rank int) LocalData {
 	}
 }
 
+// ColRange returns the global column range [lo, hi) the rank owns.
+func (l LocalData) ColRange() (lo, hi int) {
+	return l.ColOffset, l.ColOffset + l.X.Cols
+}
+
 // LocalCols maps a global sample index set to local column indices.
 func (l LocalData) LocalCols(global []int) []int {
-	lo := l.ColOffset
-	hi := lo + l.X.Cols
+	lo, hi := l.ColRange()
 	out := make([]int, 0, len(global))
 	for _, j := range global {
 		if j >= lo && j < hi {

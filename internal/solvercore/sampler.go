@@ -1,15 +1,10 @@
 package solvercore
 
-import "github.com/hpcgo/rcsfista/internal/rng"
+import (
+	"slices"
 
-// Sampler draws the shared index set of one round (or Hessian slot).
-// Implementations must be pure functions of their construction
-// parameters and the round counter: every rank holding the same
-// Sampler must produce identical sets with zero communication.
-type Sampler interface {
-	// Sample returns the global index set for round (or slot) h.
-	Sample(h int) []int
-}
+	"github.com/hpcgo/rcsfista/internal/rng"
+)
 
 // StreamSampler draws Draw distinct indices from [0, N) using stream
 // (Epoch, h) of Src — the shared sampling scheme of every solver here.
@@ -26,12 +21,21 @@ type StreamSampler struct {
 
 // Sample returns the index set of round h.
 func (s StreamSampler) Sample(h int) []int {
+	return s.SampleRange(h, 0, s.N, nil)
+}
+
+// SampleRange returns the members of round h's index set that fall in
+// [lo, hi), shifted by -lo, in draw order, reusing dst's storage: the
+// local column set of a rank owning global columns [lo, hi), with no
+// global set materialized. With a warm dst it does not allocate.
+func (s StreamSampler) SampleRange(h, lo, hi int, dst []int) []int {
 	if s.FullWhenSaturated && s.Draw >= s.N {
-		idx := make([]int, s.N)
-		for i := range idx {
-			idx[i] = i
+		first, end := max(lo, 0), min(hi, s.N)
+		dst = slices.Grow(dst[:0], max(end-first, 0))
+		for i := first; i < end; i++ {
+			dst = append(dst, i-lo)
 		}
-		return idx
+		return dst
 	}
-	return s.Src.Stream(s.Epoch, h).SampleWithoutReplacement(s.N, s.Draw)
+	return s.Src.Stream(s.Epoch, h).SampleRange(s.N, s.Draw, lo, hi, dst)
 }
