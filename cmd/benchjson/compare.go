@@ -9,15 +9,17 @@ import (
 )
 
 // Comparison mode: gate a fresh benchmark run against the committed
-// baseline artifact. Benchmarks are matched by full name (package +
-// Benchmark line, including the -N procs suffix); when either side
+// baseline artifact. Benchmarks are matched by package and name without
+// the -N GOMAXPROCS suffix, so a baseline recorded on a host with
+// another core count still matches; when either side
 // holds repeated runs (`go test -count N`), the minimum ns/op per name
 // is compared — the minimum is the least-noise estimator for a
 // latency-bound microbenchmark, the same convention the transport
 // calibration uses for its ping-pong sweep.
 
 // minMetric collapses a report to the minimum value of one metric unit
-// seen per benchmark name.
+// seen per benchmark, keyed "package.name" with the name's GOMAXPROCS
+// suffix removed.
 func minMetric(rep *Report, unit string) map[string]float64 {
 	out := map[string]float64{}
 	for _, b := range rep.Benchmarks {
@@ -25,12 +27,27 @@ func minMetric(rep *Report, unit string) map[string]float64 {
 		if !ok {
 			continue
 		}
-		key := b.Package + "." + b.Name
+		key := b.Package + "." + trimProcs(b.Name)
 		if have, ok := out[key]; !ok || v < have {
 			out[key] = v
 		}
 	}
 	return out
+}
+
+// trimProcs removes the -N suffix go test appends to a benchmark name
+// when GOMAXPROCS is not 1: BenchmarkX/P=4-2 becomes BenchmarkX/P=4.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // modeledOnly marks benchmarks that exist to report a modeled metric
@@ -124,21 +141,18 @@ var crossRunGates = []crossGate{
 }
 
 // crossGates applies crossRunGates to the fresh run's per-name metric
-// minima. Names carry the -N GOMAXPROCS suffix, so matching is by
-// prefix up to the dash. A run that includes neither side of a pair (a
-// partial -bench invocation) skips the gate with a note; a run with
-// exactly one side fails — that is what a renamed benchmark quietly
-// disabling the claim looks like.
+// minima, matching the benchmark part of each suffix-free key. A run
+// that includes neither side of a pair (a partial -bench invocation)
+// skips the gate with a note; a run with exactly one side fails — that
+// is what a renamed benchmark quietly disabling the claim looks like.
 func crossGates(fresh *Report, w io.Writer) error {
 	for _, g := range crossRunGates {
 		m := minMetric(fresh, g.metric)
 		lookup := func(prefix string) (float64, bool) {
 			best, found := math.Inf(1), false
 			for name, v := range m {
-				// name is "pkg.BenchmarkFoo-N"; match the benchmark part.
-				i := strings.LastIndex(name, ".")
-				bench := name[i+1:]
-				if bench == prefix || strings.HasPrefix(bench, prefix+"-") {
+				// name is "pkg.BenchmarkFoo"; match the benchmark part.
+				if name[strings.LastIndex(name, ".")+1:] == prefix {
 					found = true
 					if v < best {
 						best = v

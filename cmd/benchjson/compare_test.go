@@ -56,6 +56,41 @@ func TestCompareAddedAndRemovedAreNotRegressions(t *testing.T) {
 	}
 }
 
+func TestCompareMatchesAcrossGOMAXPROCS(t *testing.T) {
+	// A baseline recorded at GOMAXPROCS=2 must match a run at 16 or at
+	// 1 (no suffix): same benchmarks, not a gone/new pair each.
+	base := mkReport(bench("BenchmarkX-2", 100), bench("BenchmarkY/P=4-2", 50))
+	for _, procs := range []string{"-16", ""} {
+		fresh := mkReport(bench("BenchmarkX"+procs, 130), bench("BenchmarkY/P=4"+procs, 51))
+		var out strings.Builder
+		err := Compare(base, fresh, 15, &out)
+		if err == nil || !strings.Contains(err.Error(), "BenchmarkX (+30.0%)") {
+			t.Fatalf("suffix %q: regression of BenchmarkX not caught: %v\n%s", procs, err, out.String())
+		}
+		if strings.Contains(out.String(), "gone") || strings.Contains(out.String(), "new ") {
+			t.Fatalf("suffix %q: names did not match:\n%s", procs, out.String())
+		}
+		if !strings.Contains(out.String(), "p.BenchmarkY/P=4 ") {
+			t.Fatalf("suffix %q: sub-benchmark key lost its own name:\n%s", procs, out.String())
+		}
+	}
+}
+
+func TestTrimProcs(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkX-2":          "BenchmarkX",
+		"BenchmarkX":            "BenchmarkX",
+		"BenchmarkY/P=4-16":     "BenchmarkY/P=4",
+		"BenchmarkY/P=4":        "BenchmarkY/P=4",
+		"BenchmarkZ/tall-range": "BenchmarkZ/tall-range",
+		"BenchmarkZ-":           "BenchmarkZ-",
+	} {
+		if got := trimProcs(in); got != want {
+			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestCompareCrossGateOrdersActiveVsDense(t *testing.T) {
 	// The wall-clock gate: ActiveSetSolve must not exceed
 	// DenseSolveBaseline in the SAME fresh run. Matching tolerates the

@@ -220,11 +220,14 @@ func (c *TCPComm) abortPanic() {
 func (c *TCPComm) readLoop(peer int, conn net.Conn) {
 	defer c.wg.Done()
 	br := bufio.NewReaderSize(conn, 1<<16)
+	var body []byte // encoded-frame buffer, reused across frames
 	for {
 		if c.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
 		}
-		f, err := ReadFrame(br)
+		var f Frame
+		var err error
+		f, body, err = readFrame(br, body)
 		if err != nil {
 			if err == io.EOF {
 				// The peer finished its program and closed cleanly

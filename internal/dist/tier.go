@@ -169,13 +169,21 @@ func IAllreduceSharedTier(c Comm, local []float64, t Tier) *Request {
 // float32 rounding — the objective/eval reductions tolerate that, a
 // 0.4%% int8 step they would not.
 func AllreduceScalarSumTier(c Comm, x float64, t Tier) float64 {
-	t = EffectiveTier(t, 1)
-	if t == TierF64 {
-		return AllreduceScalar(c, x, OpSum)
-	}
 	buf := [1]float64{x}
-	out := AllreduceSharedTier(c, buf[:], t)
-	return out[0]
+	AllreduceSumTier(c, buf[:], t)
+	return buf[0]
+}
+
+// AllreduceSumTier sum-reduces buf in place at (the effective floor
+// of) tier t. At f64 it is the in-place Allreduce, so a caller that
+// owns buf allocates nothing.
+func AllreduceSumTier(c Comm, buf []float64, t Tier) {
+	t = EffectiveTier(t, len(buf))
+	if t == TierF64 {
+		c.Allreduce(buf, OpSum)
+		return
+	}
+	copy(buf, AllreduceSharedTier(c, buf, t))
 }
 
 // AllreduceCostTier returns the per-rank tree cost of an n-value

@@ -202,27 +202,44 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 // truncation inside a frame returns io.ErrUnexpectedEOF. The payload
 // is freshly allocated per frame, so callers may retain it.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [WireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	f, _, err := readFrame(r, nil)
+	return f, err
+}
+
+// readFrame is ReadFrame reading the encoded header and body through
+// buf, grown when a frame does not fit, and returning the buffer for
+// the next call: a connection's read loop decodes every frame through
+// one buffer. Only the encoded bytes are reused; the decoded payload is
+// still freshly allocated.
+func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	if cap(buf) < WireHeaderLen {
+		buf = make([]byte, WireHeaderLen)
 	}
-	kind, rank, seq, nwords, err := parseHeader(hdr[:])
+	hdr := buf[:WireHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, buf, err
+	}
+	kind, rank, seq, nwords, err := parseHeader(hdr)
 	if err != nil {
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	f := Frame{Kind: kind, Rank: rank, Seq: seq}
 	if nwords > 0 {
-		body := make([]byte, kind.payloadBytes(nwords))
+		n := kind.payloadBytes(nwords)
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		body := buf[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return Frame{}, err
+			return Frame{}, buf, err
 		}
 		f.Payload = make([]float64, nwords)
 		if kind.isI8() {
 			decodeI8Payload(f.Payload, body)
-			return f, nil
+			return f, buf, nil
 		}
 		for i := range f.Payload {
 			if kind.isF32() {
@@ -232,5 +249,5 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			f.Payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 	}
-	return f, nil
+	return f, buf, nil
 }

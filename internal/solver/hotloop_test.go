@@ -289,3 +289,54 @@ func TestSlotFillAllocationFreeWhenWarm(t *testing.T) {
 		})
 	}
 }
+
+// TestEvaluateAllocationFreeWhenWarm: once the support pass's view
+// covers the iterate, evaluating the objective allocates nothing, and
+// the value matches a direct full-pass evaluation bit for bit.
+func TestEvaluateAllocationFreeWhenWarm(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 12, M: 600, Density: 0.3, Seed: 31})
+	local := Partition(p.X, p.Y, 2, 1)
+	opts := Defaults()
+	opts.Lambda, opts.Gamma = 0.05, 0.1
+	opts = opts.withDefaults()
+	if err := opts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(dist.NewSelfComm(perf.Comet()), local, opts)
+	e.wCurr[2], e.wCurr[5] = 0.5, -1
+	got := e.evaluate()
+	if n := testing.AllocsPerRun(20, func() { e.evaluate() }); n != 0 {
+		t.Fatalf("warm evaluate allocated %g times per call", n)
+	}
+	if st := e.xtw.Stats(); st.Rebuilds != 1 || st.Fallbacks != 0 {
+		t.Fatalf("support pass stats %+v, want one build and no fallback", st)
+	}
+	local.X.MulVecT(e.scratch, e.wCurr, nil)
+	var loss float64
+	for i, v := range e.scratch {
+		res := v - local.Y[i]
+		loss += res * res
+	}
+	if want := loss/(2*float64(e.m)) + e.reg.Value(e.wCurr, nil); got != want {
+		t.Fatalf("evaluate = %v, full-pass objective %v", got, want)
+	}
+}
+
+// TestResultReportsSupportPass: a sparse solve serves its X^T w passes
+// from the support view and reports the view builds on Result.
+func TestResultReportsSupportPass(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 32, M: 400, Density: 0.2, TrueNnz: 4, Lambda: 0.2, Seed: 3, NoiseStd: 0.01})
+	o := Defaults()
+	o.Lambda = p.Lambda
+	o.Gamma = GammaFromLipschitz(prox.EstimateLipschitz(p.X, 50, nil, nil))
+	o.MaxIter = 120
+	o.EvalEvery = 20
+	res, err := SolveDistributed(dist.NewWorld(2, perf.Comet()), p.X, p.Y, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Support.Rebuilds == 0 || res.Support.Fallbacks != 0 {
+		t.Fatalf("support stats %+v, want view builds and no fallback (final support %d of %d)",
+			res.Support, mat.CountNonzeros(res.W, 0), len(res.W))
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/rng"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
+	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
 // LocalData is one rank's column (sample) block of the global problem,
@@ -186,6 +187,12 @@ type engine struct {
 	hIdx                       int
 	sinceSnap, sinceEval       int
 
+	// xtw computes the X^T w halves of evaluate, refreshSnapshot and
+	// the KKT gradient scan over the iterate's support only; loss is
+	// evaluate's allreduce buffer, so a warm evaluate allocates nothing.
+	xtw  *sparse.SupportPass
+	loss [1]float64
+
 	// Variance reduction state.
 	wSnap    []float64
 	fullGrad []float64
@@ -251,6 +258,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 		grad:    make([]float64, d),
 		tmp:     make([]float64, d),
 		scratch: make([]float64, local.X.Cols),
+		xtw:     sparse.NewSupportPass(local.X),
 		t:       1,
 
 		slotCols: make([][]int, opts.K),
@@ -446,5 +454,7 @@ func (e *engine) Process(shared []float64) bool {
 
 // finish packages the result.
 func (e *engine) finish() *Result {
-	return e.rec.Finish(mat.Clone(e.wCurr))
+	res := e.rec.Finish(mat.Clone(e.wCurr))
+	res.Support = e.xtw.Stats()
+	return res
 }

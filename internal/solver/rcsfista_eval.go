@@ -17,7 +17,7 @@ func (e *engine) refreshSnapshot() {
 	cost := e.c.Cost()
 	copy(e.wSnap, e.wCurr)
 	// Local partial of (1/m)(X X^T w - X y) over the local columns.
-	e.local.X.MulVecT(e.scratch, e.wSnap, cost)
+	e.xtw.MulVecT(e.scratch, e.wSnap, cost)
 	mat.Axpy(-1, e.local.Y, e.scratch, cost)
 	mat.Zero(e.fullGrad)
 	e.local.X.MulVec(e.fullGrad, e.scratch, cost)
@@ -52,14 +52,15 @@ func (e *engine) refreshSnapshot() {
 func (e *engine) evaluate() float64 {
 	cost := e.c.Cost()
 	saved := *cost
-	e.local.X.MulVecT(e.scratch, e.wCurr, nil)
+	e.xtw.MulVecT(e.scratch, e.wCurr, nil)
 	var loss float64
 	for i, t := range e.scratch {
 		res := t - e.local.Y[i]
 		loss += res * res
 	}
-	loss = dist.AllreduceScalarSumTier(e.c, loss, e.tierAt(1))
-	f := loss/(2*float64(e.m)) + e.reg.Value(e.wCurr, nil)
+	e.loss[0] = loss
+	dist.AllreduceSumTier(e.c, e.loss[:], e.tierAt(1))
+	f := e.loss[0]/(2*float64(e.m)) + e.reg.Value(e.wCurr, nil)
 	*cost = saved
 	return f
 }

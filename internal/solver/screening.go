@@ -18,7 +18,7 @@ import (
 // algorithm, not instrumentation.
 func (e *engine) exactGradient(dst []float64) {
 	cost := e.c.Cost()
-	e.local.X.MulVecT(e.scratch, e.wCurr, cost)
+	e.xtw.MulVecT(e.scratch, e.wCurr, cost)
 	mat.Axpy(-1, e.local.Y, e.scratch, cost)
 	mat.Zero(dst)
 	e.local.X.MulVec(dst, e.scratch, cost)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/sparse"
 	"github.com/hpcgo/rcsfista/internal/trace"
 )
 
@@ -34,6 +35,11 @@ type Result struct {
 	// Faults summarizes the injected-fault resilience activity; the
 	// zero value means the run saw no faults (or ran without a plan).
 	Faults FaultStats
+	// Support counts this rank's support-restricted X^T w pass activity
+	// (view rebuilds and plain-pass fallbacks) in the RC-SFISTA
+	// engines; zero for the other solvers. Instrumentation only: it
+	// does not enter Cost.
+	Support sparse.SupportStats
 }
 
 // FaultStats counts the solver's resilience activity under an injected

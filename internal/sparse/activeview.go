@@ -27,17 +27,30 @@ type ActiveView struct {
 
 // Build refilters the view against matrix a and the working-set inverse
 // map pos (pos[row] = position in the working set, -1 when screened).
-// Buffers are reused across rebuilds; the first Build allocates capacity
-// for the full nonzero count and later ones are allocation-free.
+// It counts the kept entries first and sizes its buffers to that count;
+// buffers only ever grow, so a rebuild that fits the previous capacity
+// is allocation-free.
 func (v *ActiveView) Build(a *CSC, pos []int) {
 	if len(pos) != a.Rows {
 		panic("sparse: ActiveView Build dimension mismatch")
 	}
+	n := 0
+	for _, r := range a.RowIdx {
+		if pos[r] >= 0 {
+			n++
+		}
+	}
+	v.fill(a, pos, n)
+}
+
+// fill writes the n kept entries of a into the view.
+func (v *ActiveView) fill(a *CSC, pos []int, n int) {
 	if cap(v.colptr) < a.Cols+1 {
 		v.colptr = make([]int, a.Cols+1)
-		nnz := a.ColPtr[a.Cols]
-		v.rows = make([]int, 0, nnz)
-		v.vals = make([]float64, 0, nnz)
+	}
+	if cap(v.rows) < n {
+		v.rows = make([]int, 0, n)
+		v.vals = make([]float64, 0, n)
 	}
 	v.colptr = v.colptr[:a.Cols+1]
 	v.rows = v.rows[:0]
@@ -55,10 +68,20 @@ func (v *ActiveView) Build(a *CSC, pos []int) {
 	v.colptr[a.Cols] = len(v.rows)
 }
 
-// Col returns column j's active entries: working-set positions (strictly
-// increasing) and the matching values.
-func (v *ActiveView) Col(j int) ([]int, []float64) {
-	return v.rows[v.colptr[j]:v.colptr[j+1]], v.vals[v.colptr[j]:v.colptr[j+1]]
+// mulVecT computes t[j] = sum of val * w[position] over column j's kept
+// entries, in the view's (increasing row) order: the view's transposed
+// product, gathering w through the working-set positions.
+func (v *ActiveView) mulVecT(t, w []float64) {
+	ptr, rows, vals := v.colptr, v.rows, v.vals
+	for j := range t {
+		lo, hi := ptr[j], ptr[j+1]
+		rs, vs := rows[lo:hi:hi], vals[lo:hi:hi]
+		var s float64
+		for k, r := range rs {
+			s += vs[k] * w[r]
+		}
+		t[j] = s
+	}
 }
 
 // SampledGramPackedView is SampledGramPackedRows with the active-row
@@ -73,38 +96,26 @@ func SampledGramPackedView(a *CSC, view *ActiveView, h *mat.SymPacked, r []float
 	if cols == nil {
 		n = a.Cols
 	}
+	hn, hd := h.N, h.Data
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
+	vptr, vrows, vvals := view.colptr, view.rows, view.vals
 	var flops int64
 	for ci := 0; ci < n; ci++ {
 		j := ci
 		if cols != nil {
 			j = cols[ci]
 		}
-		ar, av := view.Col(j)
-		na := len(ar)
-		// Upper triangle of the reduced scale * x_j x_j^T, register-
-		// blocked two rows at a time — the same sweep as the Rows kernel.
-		p := 0
-		for ; p+1 < na; p += 2 {
-			b0, b1 := ar[p], ar[p+1]
-			t0, t1 := h.RowTail(b0), h.RowTail(b1)
-			sv0, sv1 := scale*av[p], scale*av[p+1]
-			t0[0] += sv0 * av[p]
-			t0[b1-b0] += sv0 * av[p+1]
-			t1[0] += sv1 * av[p+1]
-			for q := p + 2; q < na; q++ {
-				rq, vq := ar[q], av[q]
-				t0[rq-b0] += sv0 * vq
-				t1[rq-b1] += sv1 * vq
-			}
-		}
-		if p < na {
-			h.RowTail(ar[p])[0] += scale * av[p] * av[p]
-		}
+		vlo, vhi := vptr[j], vptr[j+1]
+		na := vhi - vlo
+		// Upper triangle of the reduced scale * x_j x_j^T, the same
+		// sweep as the Rows kernel.
+		upperSweep(hd, hn, vrows[vlo:vhi:vhi], vvals[vlo:vhi:vhi], scale)
 		// R += scale * y_j * x_j over the FULL sparsity pattern.
-		rows, vals := a.Col(j)
+		lo, hi := colPtr[j], colPtr[j+1]
+		rows, vals := rowIdx[lo:hi:hi], val[lo:hi:hi]
 		sy := scale * y[j]
-		for p := 0; p < len(rows); p++ {
-			r[rows[p]] += sy * vals[p]
+		for p, rp := range rows {
+			r[rp] += sy * vals[p]
 		}
 		flops += int64(na*(na+1) + 2*len(rows))
 	}

@@ -82,45 +82,59 @@ func SampledGramPacked(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols 
 	if cols == nil {
 		n = a.Cols
 	}
+	hn, hd := h.N, h.Data
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	var flops int64
 	for ci := 0; ci < n; ci++ {
 		j := ci
 		if cols != nil {
 			j = cols[ci]
 		}
-		rows, vals := a.Col(j)
+		lo, hi := colPtr[j], colPtr[j+1]
+		rows, vals := rowIdx[lo:hi:hi], val[lo:hi:hi]
 		nz := len(rows)
-		// Upper triangle of scale * x_j x_j^T: row indices are strictly
-		// increasing, so for q >= p element (rows[p], rows[q]) lies in
-		// the contiguous tail of packed row rows[p]. The sweep is
-		// register-blocked two rows at a time — one (rows[q], vals[q])
-		// load feeds both rows' accumulations. Each packed element
-		// receives exactly one contribution sv_p*vals[q] per column, so
-		// the blocked order is bit-identical to the row-at-a-time form.
-		p := 0
-		for ; p+1 < nz; p += 2 {
-			b0, b1 := rows[p], rows[p+1]
-			t0, t1 := h.RowTail(b0), h.RowTail(b1)
-			sv0, sv1 := scale*vals[p], scale*vals[p+1]
-			t0[0] += sv0 * vals[p]
-			t0[b1-b0] += sv0 * vals[p+1]
-			t1[0] += sv1 * vals[p+1]
-			for q := p + 2; q < nz; q++ {
-				rq, vq := rows[q], vals[q]
-				t0[rq-b0] += sv0 * vq
-				t1[rq-b1] += sv1 * vq
-			}
-		}
-		if p < nz {
-			h.RowTail(rows[p])[0] += scale * vals[p] * vals[p]
-		}
+		upperSweep(hd, hn, rows, vals, scale)
 		sy := scale * y[j]
-		for p := 0; p < nz; p++ {
-			r[rows[p]] += sy * vals[p]
+		for p, rp := range rows {
+			r[rp] += sy * vals[p]
 		}
 		flops += int64(nz*(nz+1) + 2*nz)
 	}
 	c.AddFlops(flops)
+}
+
+// upperSweep adds the upper triangle of scale * x x^T into the n x n
+// packed upper storage data, for the sparse vector x with strictly
+// increasing indices rows and values vals. Element (b, q), b <= q,
+// sits at b(2n-b-1)/2 + q, so each row's base is computed inline
+// instead of through a row-tail slice. The sweep is register-blocked
+// two rows at a time — one (rows[q], vals[q]) load feeds both rows'
+// accumulations. Each packed element receives exactly one contribution
+// scale*vals[p]*vals[q] per call, so the blocked order is bit-identical
+// to the row-at-a-time form. Shared by every packed Gram kernel.
+func upperSweep(data []float64, n int, rows []int, vals []float64, scale float64) {
+	nz := len(rows)
+	vals = vals[:nz]
+	p := 0
+	for ; p+1 < nz; p += 2 {
+		b0, b1 := rows[p], rows[p+1]
+		o0, o1 := b0*(2*n-b0-1)/2, b1*(2*n-b1-1)/2
+		sv0, sv1 := scale*vals[p], scale*vals[p+1]
+		data[o0+b0] += sv0 * vals[p]
+		data[o0+b1] += sv0 * vals[p+1]
+		data[o1+b1] += sv1 * vals[p+1]
+		rt, vt := rows[p+2:], vals[p+2:]
+		vt = vt[:len(rt)]
+		for q, rq := range rt {
+			vq := vt[q]
+			data[o0+rq] += sv0 * vq
+			data[o1+rq] += sv1 * vq
+		}
+	}
+	if p < nz {
+		b := rows[p]
+		data[b*(2*n-b-1)/2+b] += scale * vals[p] * vals[p]
+	}
 }
 
 // FullGram computes H = scale * A A^T and R = scale * A y from scratch

@@ -49,51 +49,35 @@ func SampledGramPackedRows(a *CSC, h *mat.SymPacked, r []float64, y []float64, c
 	if cols == nil {
 		n = a.Cols
 	}
+	hn, hd := h.N, h.Data
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	var flops int64
 	for ci := 0; ci < n; ci++ {
 		j := ci
 		if cols != nil {
 			j = cols[ci]
 		}
-		rows, vals := a.Col(j)
+		lo, hi := colPtr[j], colPtr[j+1]
+		rows, vals := rowIdx[lo:hi:hi], val[lo:hi:hi]
 		nz := len(rows)
 		// Filter the column to its active rows. Column row indices are
 		// strictly increasing and act is sorted, so the filtered
 		// positions are strictly increasing too.
 		na := 0
-		for p := 0; p < nz; p++ {
-			if ap := pos[rows[p]]; ap >= 0 {
+		for p, rp := range rows {
+			if ap := pos[rp]; ap >= 0 {
 				rowScratch[na] = ap
 				valScratch[na] = vals[p]
 				na++
 			}
 		}
-		ar, av := rowScratch[:na], valScratch[:na]
-		// Upper triangle of the reduced scale * x_j x_j^T, register-
-		// blocked two rows at a time like SampledGramPacked: each packed
-		// element gets exactly one contribution per column, so the
-		// blocked order is bit-identical to the row-at-a-time sweep.
-		p := 0
-		for ; p+1 < na; p += 2 {
-			b0, b1 := ar[p], ar[p+1]
-			t0, t1 := h.RowTail(b0), h.RowTail(b1)
-			sv0, sv1 := scale*av[p], scale*av[p+1]
-			t0[0] += sv0 * av[p]
-			t0[b1-b0] += sv0 * av[p+1]
-			t1[0] += sv1 * av[p+1]
-			for q := p + 2; q < na; q++ {
-				rq, vq := ar[q], av[q]
-				t0[rq-b0] += sv0 * vq
-				t1[rq-b1] += sv1 * vq
-			}
-		}
-		if p < na {
-			h.RowTail(ar[p])[0] += scale * av[p] * av[p]
-		}
+		// Upper triangle of the reduced scale * x_j x_j^T, the same
+		// sweep as SampledGramPacked.
+		upperSweep(hd, hn, rowScratch[:na:na], valScratch[:na:na], scale)
 		// R += scale * y_j * x_j over the FULL sparsity pattern.
 		sy := scale * y[j]
-		for p := 0; p < nz; p++ {
-			r[rows[p]] += sy * vals[p]
+		for p, rp := range rows {
+			r[rp] += sy * vals[p]
 		}
 		flops += int64(na*(na+1) + 2*nz)
 	}
