@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -82,7 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: sv.Handler()}
+		hs := sv.HTTPServer("")
 		go func() { _ = hs.Serve(ln) }()
 		defer func() {
 			shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

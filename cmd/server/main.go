@@ -61,7 +61,7 @@ func run(args []string) error {
 		PathCap:         *pathCap,
 		MaxIter:         *maxIter,
 	})
-	hs := &http.Server{Addr: *addr, Handler: sv.Handler()}
+	hs := sv.HTTPServer(*addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

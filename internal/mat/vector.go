@@ -86,15 +86,8 @@ func Copy(dst, src []float64) {
 	copy(dst, src)
 }
 
-// Fill sets every entry of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Zero clears x.
-func Zero(x []float64) { Fill(x, 0) }
+func Zero(x []float64) { clear(x) }
 
 // Sub computes dst = x - y. Panics on length mismatch.
 func Sub(dst, x, y []float64, c *perf.Cost) {

@@ -216,19 +216,17 @@ func TestDist2(t *testing.T) {
 }
 
 func TestCopyFillZero(t *testing.T) {
-	x := make([]float64, 3)
-	Fill(x, 7)
-	if x[0] != 7 || x[2] != 7 {
-		t.Fatalf("Fill = %v", x)
-	}
+	x := []float64{7, math.Copysign(0, -1), 7}
 	y := make([]float64, 3)
 	Copy(y, x)
-	if y[1] != 7 {
+	if y[0] != 7 || math.Float64bits(y[1]) != math.Float64bits(x[1]) || y[2] != 7 {
 		t.Fatalf("Copy = %v", y)
 	}
 	Zero(x)
-	if anyNonzero(x) {
-		t.Fatalf("Zero = %v", x)
+	for i, v := range x {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("Zero left x[%d] = %v (%#x), want +0", i, v, math.Float64bits(v))
+		}
 	}
 }
 

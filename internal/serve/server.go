@@ -52,6 +52,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a stalled or slow client cannot hold a
+// connection, and its goroutine, open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// HTTPServer returns an http.Server serving Handler on addr, with the
+// header read bounded by ReadHeaderTimeout.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -485,3 +485,19 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatalf("stats not a snapshot: %v", err)
 	}
 }
+
+// TestHTTPServerBoundsHeaderRead: the http.Server both commands run
+// carries the header-read timeout and serves the service's routes.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	sv := serve.New(fastConfig())
+	defer sv.Close()
+	hs := sv.HTTPServer("127.0.0.1:0")
+	if hs.ReadHeaderTimeout != serve.ReadHeaderTimeout || serve.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, serve.ReadHeaderTimeout)
+	}
+	rec := httptest.NewRecorder()
+	hs.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK || hs.Addr != "127.0.0.1:0" {
+		t.Fatalf("GET /healthz = %d on %q, want 200 on the given address", rec.Code, hs.Addr)
+	}
+}

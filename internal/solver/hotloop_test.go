@@ -290,9 +290,10 @@ func TestSlotFillAllocationFreeWhenWarm(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllocationFreeWhenWarm: once the support pass's view
-// covers the iterate, evaluating the objective allocates nothing, and
-// the value matches a direct full-pass evaluation bit for bit.
+// TestEvaluateAllocationFreeWhenWarm: once the support pass's store
+// holds the rows of the iterate's support, evaluating the objective
+// allocates nothing, and the value matches a direct full-pass
+// evaluation bit for bit.
 func TestEvaluateAllocationFreeWhenWarm(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 12, M: 600, Density: 0.3, Seed: 31})
 	local := Partition(p.X, p.Y, 2, 1)
@@ -309,7 +310,7 @@ func TestEvaluateAllocationFreeWhenWarm(t *testing.T) {
 		t.Fatalf("warm evaluate allocated %g times per call", n)
 	}
 	if st := e.xtw.Stats(); st.Rebuilds != 1 || st.Fallbacks != 0 {
-		t.Fatalf("support pass stats %+v, want one build and no fallback", st)
+		t.Fatalf("support pass stats %+v, want one extraction scan and no plain pass", st)
 	}
 	local.X.MulVecT(e.scratch, e.wCurr, nil)
 	var loss float64
@@ -323,7 +324,9 @@ func TestEvaluateAllocationFreeWhenWarm(t *testing.T) {
 }
 
 // TestResultReportsSupportPass: a sparse solve serves its X^T w passes
-// from the support view and reports the view builds on Result.
+// from the support pass's row store and reports its extraction scans on
+// Result. Every scan stores at least one new row of the local block, so
+// a rank makes at most d of them, however many passes the solve runs.
 func TestResultReportsSupportPass(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 32, M: 400, Density: 0.2, TrueNnz: 4, Lambda: 0.2, Seed: 3, NoiseStd: 0.01})
 	o := Defaults()
@@ -335,8 +338,8 @@ func TestResultReportsSupportPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Support.Rebuilds == 0 || res.Support.Fallbacks != 0 {
-		t.Fatalf("support stats %+v, want view builds and no fallback (final support %d of %d)",
-			res.Support, mat.CountNonzeros(res.W, 0), len(res.W))
+	if res.Support.Rebuilds == 0 || res.Support.Rebuilds > len(res.W) || res.Support.Fallbacks != 0 {
+		t.Fatalf("support stats %+v, want 1..%d extraction scans and no plain pass (final support %d)",
+			res.Support, len(res.W), mat.CountNonzeros(res.W, 0))
 	}
 }

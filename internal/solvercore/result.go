@@ -36,7 +36,7 @@ type Result struct {
 	// zero value means the run saw no faults (or ran without a plan).
 	Faults FaultStats
 	// Support counts this rank's support-restricted X^T w pass activity
-	// (view rebuilds and plain-pass fallbacks) in the RC-SFISTA
+	// (row-store extraction scans and plain passes) in the RC-SFISTA
 	// engines; zero for the other solvers. Instrumentation only: it
 	// does not enter Cost.
 	Support sparse.SupportStats

@@ -63,12 +63,9 @@ func (s *EFStream) Reset() {
 // TieredExchanger is the stage-C path behind Options.CompressTier: the
 // batched Hessian allreduce ships through the tier selected per round
 // by TierOf (a fixed tier, or the solver's auto policy), with per-rank
-// error feedback and optional fault injection. It subsumes both
-// CompressedExchanger (fixed f32, no faults — bit-identical results,
-// because the f32 collective rounds raw contributions exactly as the
-// legacy exchanger pre-rounded them) and FaultExchanger (fixed f64
-// under a FaultPlan — the retry/degrade/skip state machine below
-// mirrors it decision for decision).
+// error feedback and optional fault injection. Under a FaultPlan at
+// fixed f64 it behaves as FaultExchanger: the retry/degrade/skip state
+// machine below mirrors it decision for decision.
 //
 // Error feedback across faults: the residual update happens at
 // prepare, but a round that ultimately fails (degrade to stale batch,

@@ -40,11 +40,6 @@ func (v *ActiveView) Build(a *CSC, pos []int) {
 			n++
 		}
 	}
-	v.fill(a, pos, n)
-}
-
-// fill writes the n kept entries of a into the view.
-func (v *ActiveView) fill(a *CSC, pos []int, n int) {
 	if cap(v.colptr) < a.Cols+1 {
 		v.colptr = make([]int, a.Cols+1)
 	}
@@ -66,22 +61,6 @@ func (v *ActiveView) fill(a *CSC, pos []int, n int) {
 		}
 	}
 	v.colptr[a.Cols] = len(v.rows)
-}
-
-// mulVecT computes t[j] = sum of val * w[position] over column j's kept
-// entries, in the view's (increasing row) order: the view's transposed
-// product, gathering w through the working-set positions.
-func (v *ActiveView) mulVecT(t, w []float64) {
-	ptr, rows, vals := v.colptr, v.rows, v.vals
-	for j := range t {
-		lo, hi := ptr[j], ptr[j+1]
-		rs, vs := rows[lo:hi:hi], vals[lo:hi:hi]
-		var s float64
-		for k, r := range rs {
-			s += vs[k] * w[r]
-		}
-		t[j] = s
-	}
 }
 
 // SampledGramPackedView is SampledGramPackedRows with the active-row

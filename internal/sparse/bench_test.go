@@ -38,3 +38,39 @@ func BenchmarkSampledGramPacked(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSupportMulVecT times one warm X^T w product through the
+// support pass against the full CSC.MulVecT at the benchmark
+// workloads' per-rank blocks on P=2 (d=54 at density 0.22): tall-tcp's
+// 12000 local columns and serve-path's 1000, with a 5-row support (a
+// converged covtype iterate) and a 27-row one (half the rows).
+func BenchmarkSupportMulVecT(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		d, m, supp int
+	}{
+		{"tall_d54_m12000_s5", 54, 12000, 5},
+		{"tall_d54_m12000_s27", 54, 12000, 27},
+		{"serve_d54_m1000_s5", 54, 1000, 5},
+		{"serve_d54_m1000_s27", 54, 1000, 27},
+	} {
+		a, _ := gramRowsTestCSC(c.d, c.m, 0.22, 17)
+		w := make([]float64, c.d)
+		for i := 0; i < c.supp; i++ {
+			w[i*c.d/c.supp] = float64(i+1) / float64(c.supp)
+		}
+		t := make([]float64, c.m)
+		s := NewSupportPass(a)
+		s.MulVecT(t, w, nil) // fill the store: the engine's passes are warm
+		for _, p := range []struct {
+			name string
+			mul  func(t, w []float64, c *perf.Cost)
+		}{{"support", s.MulVecT}, {"csc", a.MulVecT}} {
+			b.Run(c.name+"/"+p.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.mul(t, w, nil)
+				}
+			})
+		}
+	}
+}

@@ -1,50 +1,56 @@
 package sparse
 
-import "github.com/hpcgo/rcsfista/internal/perf"
+import (
+	"math"
+
+	"github.com/hpcgo/rcsfista/internal/perf"
+)
 
 // SupportPass computes t = A^T w for a fixed matrix A and a sparse w,
-// reading only the rows of a grow-only set U ⊇ supp(w). The rows of U
-// are kept in an ActiveView whose positions are the row indices
-// themselves, so the pass gathers w directly; the view is rebuilt only
-// when a non-zero of w falls outside U, and U never shrinks.
+// reading only the rows of supp(w). It keeps a grow-only row-major
+// store of A: a row enters the first time it is in supp(w), with its
+// column indices (int32) and values sized exactly from the row's entry
+// count, and all rows entering in one call are extracted in one scan
+// of A. A product clears t and streams the stored rows of supp(w) in
+// ascending row order.
 //
-// The result equals CSC.MulVecT bit for bit on finite data. Every
-// skipped term is v·(±0) = ±0; the accumulator starts at +0 and so can
-// never become −0, and adding ±0 to +0 or to a non-zero value leaves it
-// unchanged. The kept terms are added in the same increasing row order.
-// Two cases take the plain pass instead. A product whose grown view
-// would hold more than half of A's stored entries runs CSC.MulVecT and
-// leaves U as it was, so a later sparser w can still use the view. An
-// A with a non-finite stored value (v·0 is then NaN, not ±0) runs
-// CSC.MulVecT on every call; A is checked once, when the pass is made.
-// The flop charge is CSC.MulVecT's 2·nnz either way, so the cost model
-// is blind to which pass ran.
+// The result equals CSC.MulVecT bit for bit on finite A. Each t_j gets
+// its non-skipped terms in the same increasing row order as the column
+// pass. Every skipped term is v·(±0) = ±0; the accumulator starts at +0
+// and so can never become −0, and adding ±0 to +0 or to a non-zero
+// value leaves it unchanged. An A with a non-finite stored value (v·0
+// is then NaN, not ±0), or with more columns than an int32 indexes,
+// runs CSC.MulVecT on every call; A is checked once, when the pass is
+// made. The flop charge is CSC.MulVecT's 2·nnz either way, so the cost
+// model is blind to which pass ran.
 //
-// A must not change while the pass is in use. A SupportPass is not
-// safe for concurrent use.
+// The store holds at most one row-major copy of A. A must not change
+// while the pass is in use. A SupportPass is not safe for concurrent
+// use.
 type SupportPass struct {
 	a      *CSC
-	rowNnz []int // stored entries per row of A
-	pos    []int // pos[r] = r for r in U, -1 otherwise
-	kept   int   // stored entries in the rows of U
-	view   ActiveView
-	built  bool // view holds the rows of U
-	plain  bool // A holds a non-finite value: every call runs CSC.MulVecT
+	rowNnz []int       // stored entries per row of A
+	cols   [][]int32   // cols[r] = row r's column indices; nil until r enters
+	vals   [][]float64 // vals[r] = row r's values, aligned with cols[r]
+	plain  bool        // every call runs CSC.MulVecT
 	stats  SupportStats
 }
 
 // SupportStats counts what a SupportPass did: Rebuilds is the number of
-// view builds, Fallbacks the number of products served by the plain
-// full pass.
+// scans of A that extracted rows into the store, Fallbacks the number
+// of products served by the plain CSC.MulVecT pass.
 type SupportStats struct {
 	Rebuilds, Fallbacks int
 }
 
-// NewSupportPass returns a support pass over a with U empty.
+// NewSupportPass returns a support pass over a with an empty store.
 func NewSupportPass(a *CSC) *SupportPass {
-	s := &SupportPass{a: a, rowNnz: make([]int, a.Rows), pos: make([]int, a.Rows)}
-	for i := range s.pos {
-		s.pos[i] = -1
+	s := &SupportPass{
+		a:      a,
+		rowNnz: make([]int, a.Rows),
+		cols:   make([][]int32, a.Rows),
+		vals:   make([][]float64, a.Rows),
+		plain:  a.Cols > math.MaxInt32,
 	}
 	for k, r := range a.RowIdx {
 		s.rowNnz[r]++
@@ -63,44 +69,53 @@ func (s *SupportPass) MulVecT(t, w []float64, c *perf.Cost) {
 	if len(t) != a.Cols || len(w) != a.Rows {
 		panic("sparse: SupportPass MulVecT dimension mismatch")
 	}
-	if s.plain || !s.cover(w) {
+	if s.plain {
 		s.stats.Fallbacks++
 		a.MulVecT(t, w, c)
 		return
 	}
-	s.view.mulVecT(t, w)
+	s.extract(w)
+	clear(t)
+	for r, wr := range w {
+		if wr == 0 {
+			continue
+		}
+		vals := s.vals[r]
+		cols := s.cols[r][:len(vals)]
+		for k, j := range cols {
+			t[j] += vals[k] * wr
+		}
+	}
 	c.AddFlops(int64(2 * a.Nnz()))
 }
 
 // Stats returns the pass's counters so far.
 func (s *SupportPass) Stats() SupportStats { return s.stats }
 
-// cover makes the view hold every non-zero of w, adding supp(w) to U
-// and rebuilding when a non-zero falls outside it. It reports false,
-// leaving U unchanged, when the grown view would hold more than half
-// of A's stored entries.
-func (s *SupportPass) cover(w []float64) bool {
-	kept, grow := s.kept, !s.built
-	for i, v := range w {
-		if v != 0 && s.pos[i] < 0 {
-			kept += s.rowNnz[i]
-			grow = true
+// extract adds every row of supp(w) that is not yet stored, in one scan
+// of A. An entering row is the only kind whose length is below its
+// capacity during the scan; a row outside the store has capacity 0.
+func (s *SupportPass) extract(w []float64) {
+	enter := false
+	for r, wr := range w {
+		if wr != 0 && s.cols[r] == nil {
+			n := s.rowNnz[r]
+			s.cols[r], s.vals[r] = make([]int32, 0, n), make([]float64, 0, n)
+			enter = true
 		}
 	}
-	if !grow {
-		return true
+	if !enter {
+		return
 	}
-	if 2*kept > s.a.Nnz() {
-		return false
-	}
-	for i, v := range w {
-		if v != 0 {
-			s.pos[i] = i
+	a := s.a
+	for j := 0; j < a.Cols; j++ {
+		rows, vals := a.Col(j)
+		for k, r := range rows {
+			if c := s.cols[r]; len(c) < cap(c) {
+				s.cols[r] = append(c, int32(j))
+				s.vals[r] = append(s.vals[r], vals[k])
+			}
 		}
 	}
-	s.kept = kept
-	s.view.fill(s.a, s.pos, kept)
-	s.built = true
 	s.stats.Rebuilds++
-	return true
 }

@@ -10,9 +10,13 @@ import (
 
 // checkSupportPass runs one product through s and through CSC.MulVecT
 // and fails unless the two agree bit for bit, flop charge included.
+// The output starts as NaN, so every t_j must be written.
 func checkSupportPass(t *testing.T, s *SupportPass, a *CSC, w []float64) {
 	t.Helper()
 	got, want := make([]float64, a.Cols), make([]float64, a.Cols)
+	for j := range got {
+		got[j] = math.NaN()
+	}
 	var gc, wc perf.Cost
 	s.MulVecT(got, w, &gc)
 	a.MulVecT(want, w, &wc)
@@ -43,10 +47,41 @@ func supportVec(d int, supp []int, scale float64, st *rng.Rng) []float64 {
 	return w
 }
 
-// TestSupportPassMatchesMulVecT is the oracle: over a growing support,
-// signed zeros, an all-zero w, denormal-scale values and explicit
-// stored zeros, the support pass equals CSC.MulVecT bit for bit and
-// charges the same flops, rebuilding only when the support grows.
+// checkStore fails unless the store holds exactly the rows in seen,
+// each as a full row of A with exact capacity: at most one row-major
+// copy of A, and only of rows that were ever in supp(w).
+func checkStore(t *testing.T, s *SupportPass, seen map[int]bool) {
+	t.Helper()
+	for r := range s.cols {
+		cols, vals := s.cols[r], s.vals[r]
+		if (cols != nil) != seen[r] {
+			t.Fatalf("row %d stored = %v, ever in supp(w) = %v", r, cols != nil, seen[r])
+		}
+		if cols == nil {
+			continue
+		}
+		if n := s.rowNnz[r]; len(cols) != n || cap(cols) != n || len(vals) != n || cap(vals) != n {
+			t.Fatalf("row %d holds %d/%d cols and %d/%d vals, want exactly %d",
+				r, len(cols), cap(cols), len(vals), cap(vals), n)
+		}
+		for k, j := range cols {
+			if got, want := vals[k], s.a.At(r, int(j)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d col %d holds %v, A has %v", r, j, got, want)
+			}
+			if k > 0 && cols[k-1] >= j {
+				t.Fatalf("row %d columns not increasing at %d", r, k)
+			}
+		}
+	}
+}
+
+// TestSupportPassMatchesMulVecT is the oracle: over a support that
+// grows, shrinks and grows again into unseen rows, signed zeros, an
+// all-zero w, denormal-scale values, explicit stored zeros and
+// non-finite values in w, the support pass equals CSC.MulVecT bit for
+// bit and charges the same flops. It scans A only when a row of
+// supp(w) enters the store, and never takes the plain pass on finite A,
+// however much of A the support covers.
 func TestSupportPassMatchesMulVecT(t *testing.T) {
 	const d, m = 40, 120
 	a, _ := gramRowsTestCSC(d, m, 0.5, 7)
@@ -56,55 +91,53 @@ func TestSupportPassMatchesMulVecT(t *testing.T) {
 	a.Val[1] = math.Copysign(0, -1)
 	st := rng.NewSource(3).Stream(0, 0)
 	s := NewSupportPass(a)
+	seen := map[int]bool{}
 
 	checkSupportPass(t, s, a, make([]float64, d)) // all-zero w
 	negZero := supportVec(d, nil, 1, st)          // only ±0 entries
 	checkSupportPass(t, s, a, negZero)
-	if got := s.Stats(); got.Rebuilds != 1 || got.Fallbacks != 0 {
-		t.Fatalf("zero vectors: stats %+v, want one build and no fallback", got)
+	if got := s.Stats(); got != (SupportStats{}) {
+		t.Fatalf("zero vectors: stats %+v, want no scan and no plain pass", got)
 	}
+	checkStore(t, s, seen)
 
+	even := make([]int, 0, d)
+	for i := 0; i < d; i += 2 {
+		even = append(even, i)
+	}
 	steps := []struct {
-		supp     []int
-		scale    float64
-		rebuilds int
+		supp  []int
+		scale float64
+		scans int
 	}{
-		{[]int{3}, 1, 2},
-		{[]int{3}, 5e-324, 2}, // same support, smallest denormal
-		{[]int{3, 17}, -5e-324, 3},
-		{[]int{17}, 1e300, 3}, // support shrinks inside U: no rebuild
-		{[]int{0, 9, 17, 30}, 1, 4},
-		{[]int{39, 3}, 1e-300, 5},
+		{[]int{3}, 1, 1},
+		{[]int{3}, 5e-324, 1}, // same support, smallest denormal
+		{[]int{3, 17}, -5e-324, 2},
+		{[]int{17}, 1e300, 2}, // support shrinks inside the store: no scan
+		{[]int{0, 9, 17, 30}, 1, 3},
+		{[]int{39, 3}, 1e-300, 4},
+		{even, 1, 5}, // more than half of A's entries, still the store
+		{[]int{3, 39}, 1, 5},
+		{[]int{3, 21}, 1, 6}, // grows again into an unseen row
+		{[]int{5, 21}, math.NaN(), 7},
+		{[]int{5, 7, 11}, math.Inf(1), 8}, // Inf·(stored 0) is NaN
+		{[]int{7, 30}, math.Inf(-1), 8},
 	}
 	for i, c := range steps {
 		checkSupportPass(t, s, a, supportVec(d, c.supp, c.scale, st))
-		if got := s.Stats(); got.Rebuilds != c.rebuilds || got.Fallbacks != 0 {
-			t.Fatalf("step %d: stats %+v, want %d rebuilds and no fallback", i, got, c.rebuilds)
+		if got := s.Stats(); got.Rebuilds != c.scans || got.Fallbacks != 0 {
+			t.Fatalf("step %d: stats %+v, want %d scans and no plain pass", i, got, c.scans)
 		}
-	}
-
-	// A support that would grow the view past half of the stored
-	// entries takes the plain pass and leaves U alone: a later sparser
-	// w inside U is served by the view again, and one that grows U
-	// within the bound rebuilds it.
-	wide := make([]int, 0, d)
-	for i := 0; i < d; i += 2 {
-		wide = append(wide, i)
-	}
-	checkSupportPass(t, s, a, supportVec(d, wide, 1, st))
-	if got := s.Stats(); got.Rebuilds != 5 || got.Fallbacks != 1 {
-		t.Fatalf("over half nnz: stats %+v, want 5 rebuilds and 1 fallback", got)
-	}
-	checkSupportPass(t, s, a, supportVec(d, []int{3, 39}, 1, st))
-	checkSupportPass(t, s, a, supportVec(d, []int{3, 21}, 1, st))
-	if got := s.Stats(); got.Rebuilds != 6 || got.Fallbacks != 1 {
-		t.Fatalf("after the fallback: stats %+v, want 6 rebuilds and 1 fallback", got)
+		for _, r := range c.supp {
+			seen[r] = true
+		}
+		checkStore(t, s, seen)
 	}
 }
 
 // TestSupportPassNonFiniteTakesPlainPass pins the guard: a block with
 // an Inf or NaN stored anywhere makes v·0 a NaN, so the pass must not
-// skip rows and runs CSC.MulVecT from the first call.
+// skip rows and runs CSC.MulVecT from the first call, storing nothing.
 func TestSupportPassNonFiniteTakesPlainPass(t *testing.T) {
 	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		a, _ := gramRowsTestCSC(10, 30, 0.5, 11)
@@ -117,6 +150,17 @@ func TestSupportPassNonFiniteTakesPlainPass(t *testing.T) {
 		if got := s.Stats(); got.Rebuilds != 0 || got.Fallbacks != 2 {
 			t.Fatalf("value %v: stats %+v, want the plain pass on every call", bad, got)
 		}
+		checkStore(t, s, nil)
+	}
+}
+
+// TestSupportPassWideBlockTakesPlainPass: a block with more columns
+// than an int32 indexes cannot be held in the store. Only the shape is
+// read when the pass is made, so no columns need exist.
+func TestSupportPassWideBlockTakesPlainPass(t *testing.T) {
+	s := NewSupportPass(&CSC{Rows: 3, Cols: math.MaxInt32 + 1})
+	if !s.plain {
+		t.Fatal("a block of 2^31 columns would be stored with int32 indices")
 	}
 }
 
@@ -138,8 +182,8 @@ func TestSupportPassDimensionPanics(t *testing.T) {
 	}
 }
 
-// TestSupportPassWarmIsAllocationFree: once the view covers the
-// support, a product allocates nothing.
+// TestSupportPassWarmIsAllocationFree: once the store holds the rows
+// of supp(w), a product allocates nothing.
 func TestSupportPassWarmIsAllocationFree(t *testing.T) {
 	a, _ := gramRowsTestCSC(30, 200, 0.3, 5)
 	s := NewSupportPass(a)
@@ -149,6 +193,10 @@ func TestSupportPassWarmIsAllocationFree(t *testing.T) {
 	s.MulVecT(out, w, nil)
 	if n := testing.AllocsPerRun(20, func() { s.MulVecT(out, w, nil) }); n != 0 {
 		t.Fatalf("warm support pass allocated %g times", n)
+	}
+	w[20] = 0 // a support shrunk inside the store
+	if n := testing.AllocsPerRun(20, func() { s.MulVecT(out, w, nil) }); n != 0 {
+		t.Fatalf("shrunk support pass allocated %g times", n)
 	}
 }
 
